@@ -2,7 +2,7 @@
 //! throughput, and raw interpreter speed on a hot loop. These bound
 //! how fast every other experiment can run.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use std::hint::black_box;
 
 use simsparc_isa::{trap, AluOp, Cond, Insn, Operand, Reg};
@@ -58,13 +58,21 @@ fn bench_cache(c: &mut Criterion) {
         })
     });
 
-    // Interpreter throughput: a tight ALU loop (no memory).
-    group.bench_function("interp_alu_loop_1M", |b| {
-        let text = vec![
+    // Interpreter throughput: a tight ALU loop (no memory). The loop
+    // bound is `sethi`-loaded (a 13-bit immediate caps at 4095), so a
+    // run retires about 1M instructions and interpretation, not
+    // `Machine::new`, dominates each sample.
+    let alu_loop = Image {
+        text: vec![
             Insn::mov(Operand::Imm(0), Reg::O0),
+            // %g4 = 122 << 11 = 249_856 iterations of 4 instructions.
+            Insn::Sethi {
+                imm21: 122,
+                rd: Reg::G4,
+            },
             // loop:
             Insn::alu(AluOp::Add, Reg::O0, Operand::Imm(1), Reg::O0),
-            Insn::cmp(Reg::O0, Operand::Imm(1000)),
+            Insn::cmp(Reg::O0, Operand::Reg(Reg::G4)),
             Insn::Branch {
                 cond: Cond::L,
                 annul: false,
@@ -73,63 +81,75 @@ fn bench_cache(c: &mut Criterion) {
             },
             Insn::Nop,
             Insn::Trap { num: trap::EXIT },
-        ];
-        let image = Image {
-            text,
-            data: vec![],
-            bss_bytes: 0,
-            entry: TEXT_BASE,
-        };
-        b.iter(|| {
-            let mut m = Machine::new(MachineConfig::default());
-            m.load(&image);
-            black_box(m.run(10_000_000, &mut NullHook).unwrap().counts.insts)
-        })
-    });
+        ],
+        data: vec![],
+        bss_bytes: 0,
+        entry: TEXT_BASE,
+    };
+    bench_interp(&mut group, "interp_alu_loop_1M", &alu_loop);
 
-    // Interpreter throughput with memory traffic.
-    group.bench_function("interp_mem_loop", |b| {
-        let text = vec![
+    // Interpreter throughput with memory traffic: sum a 4 KB array
+    // over and over (the index wraps with `and`), so loads mostly hit
+    // the D$ and the run again retires about 1M instructions.
+    let mem_loop = Image {
+        text: vec![
             Insn::Sethi {
                 imm21: (DATA_BASE >> 11) as u32,
                 rd: Reg::G1,
             },
+            // %g4 = 558 << 11 bytes = 142_848 iterations of 7 instructions.
+            Insn::Sethi {
+                imm21: 558,
+                rd: Reg::G4,
+            },
             Insn::mov(Operand::Imm(0), Reg::O0),
             Insn::mov(Operand::Imm(0), Reg::G3),
-            // loop: ldx [g1+g3], g2 ; add o0,g2,o0 ; add g3,8 ; cmp ; bl
+            Insn::mov(Operand::Imm(0), Reg::G5),
+            // loop: ldx [g1+g5], g2 ; add o0,g2,o0 ; add g3,8,g3 ;
+            //       and g3,4095,g5 ; cmp g3,g4 ; bl loop
             Insn::Load {
                 width: simsparc_isa::MemWidth::X,
                 signed: false,
                 rs1: Reg::G1,
-                op2: Operand::Reg(Reg::G3),
+                op2: Operand::Reg(Reg::G5),
                 rd: Reg::G2,
             },
             Insn::alu(AluOp::Add, Reg::O0, Operand::Reg(Reg::G2), Reg::O0),
             Insn::alu(AluOp::Add, Reg::G3, Operand::Imm(8), Reg::G3),
-            Insn::cmp(Reg::G3, Operand::Imm(4000)),
+            Insn::alu(AluOp::And, Reg::G3, Operand::Imm(4095), Reg::G5),
+            Insn::cmp(Reg::G3, Operand::Reg(Reg::G4)),
             Insn::Branch {
                 cond: Cond::L,
                 annul: false,
                 pred_taken: true,
-                disp: -4,
+                disp: -5,
             },
             Insn::Nop,
             Insn::Trap { num: trap::EXIT },
-        ];
-        let image = Image {
-            text,
-            data: vec![1u8; 4096],
-            bss_bytes: 0,
-            entry: TEXT_BASE,
-        };
-        b.iter(|| {
-            let mut m = Machine::new(MachineConfig::default());
-            m.load(&image);
-            black_box(m.run(10_000_000, &mut NullHook).unwrap().counts.loads)
-        })
-    });
+        ],
+        data: vec![1u8; 4096],
+        bss_bytes: 0,
+        entry: TEXT_BASE,
+    };
+    bench_interp(&mut group, "interp_mem_loop", &mem_loop);
 
     group.finish();
+}
+
+/// Time one unprofiled run of `image` per iteration, after checking
+/// that it retires about 1M instructions.
+fn bench_interp(group: &mut BenchmarkGroup<'_>, name: &str, image: &Image) {
+    let run = || {
+        let mut m = Machine::new(MachineConfig::default());
+        m.load(image);
+        m.run(10_000_000, &mut NullHook).unwrap().counts.insts
+    };
+    let insts = run();
+    assert!(
+        (990_000..1_010_000).contains(&insts),
+        "{name} retires {insts} instructions, not about 1M"
+    );
+    group.bench_function(name, |b| b.iter(|| black_box(run())));
 }
 
 criterion_group!(benches, bench_cache);

@@ -36,10 +36,11 @@ pub struct SetAssocCache {
     line_shift: u32,
     set_mask: u64,
     ways: usize,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways..][..ways]` holds one set's lines in recency
+    /// order: index 0 is the most recently used, the last index the
+    /// LRU victim. `u64::MAX` = invalid; invalid ways are always at
+    /// the tail, since every fill inserts at the front.
     tags: Vec<u64>,
-    /// LRU age per way (0 = most recently used).
-    ages: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -64,7 +65,6 @@ impl SetAssocCache {
             set_mask: sets - 1,
             ways: config.ways as usize,
             tags: vec![INVALID; total],
-            ages: vec![0; total],
             hits: 0,
             misses: 0,
         }
@@ -82,36 +82,27 @@ impl SetAssocCache {
         let set = (line & self.set_mask) as usize;
         let base = set * self.ways;
         let tags = &mut self.tags[base..base + self.ways];
-        let ages = &mut self.ages[base..base + self.ways];
 
-        // Hit path: bump the touched way to MRU.
-        for w in 0..tags.len() {
-            if tags[w] == line {
-                let age = ages[w];
-                for a in ages.iter_mut() {
-                    if *a < age {
-                        *a += 1;
-                    }
-                }
-                ages[w] = 0;
+        // Most accesses re-touch the set's MRU line: nothing moves.
+        if tags[0] == line {
+            self.hits += 1;
+            return CacheOutcome::Hit;
+        }
+        // Otherwise the touched line moves to the front and every line
+        // more recent than it shifts back one place. On a miss that is
+        // the whole set, dropping the LRU line off the end.
+        let (end, outcome) = match tags.iter().position(|&t| t == line) {
+            Some(w) => {
                 self.hits += 1;
-                return CacheOutcome::Hit;
+                (w, CacheOutcome::Hit)
             }
-        }
-
-        // Miss: fill an invalid way if one exists, else evict true LRU.
-        // Age every resident way and insert the new line as MRU.
-        let victim = match tags.iter().position(|&t| t == INVALID) {
-            Some(w) => w,
-            None => (0..tags.len()).max_by_key(|&w| ages[w]).unwrap(),
+            None => {
+                self.misses += 1;
+                (tags.len() - 1, CacheOutcome::Miss)
+            }
         };
-        for a in ages.iter_mut() {
-            *a = a.saturating_add(1);
-        }
-        tags[victim] = line;
-        ages[victim] = 0;
-        self.misses += 1;
-        CacheOutcome::Miss
+        mru_insert(&mut tags[..=end], line);
+        outcome
     }
 
     /// Probe without touching LRU state or counting (used by software
@@ -127,6 +118,17 @@ impl SetAssocCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+}
+
+/// Shift `set[..len - 1]` back one place and put `tag` at the front:
+/// the recency-order update shared by the caches and the DTLB. Sets
+/// hold at most 16 ways, so a plain loop beats a `memmove` call.
+#[inline]
+pub(crate) fn mru_insert<T: Copy>(set: &mut [T], tag: T) {
+    for i in (1..set.len()).rev() {
+        set[i] = set[i - 1];
+    }
+    set[0] = tag;
 }
 
 #[cfg(test)]

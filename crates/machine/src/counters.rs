@@ -265,9 +265,12 @@ impl HwCounter {
     #[inline]
     pub(crate) fn add(&mut self, n: u64) -> bool {
         self.value += n as i64;
-        if self.value < 0 {
-            return false;
-        }
+        self.value >= 0 && self.wrap()
+    }
+
+    /// The counter crossed zero: account the crossing(s) and reload.
+    #[inline(never)]
+    fn wrap(&mut self) -> bool {
         let fired = if self.pending.is_some() {
             self.dropped += 1;
             false

@@ -245,9 +245,17 @@ pub struct Machine {
     icache: SetAssocCache,
     tlb: Tlb,
     counters: [Option<HwCounter>; NUM_COUNTER_SLOTS],
+    /// `watch[event as usize]`: bit `s` is set iff slot `s` counts
+    /// `event`. Kept by [`Machine::program_counter`], so feeding an
+    /// event nobody counts is one load and a branch.
+    watch: [u8; CounterEvent::ALL.len()],
+    /// Bit `s` is set iff slot `s` has a trap counting down its skid.
+    pending: u8,
     rng: StdRng,
     counts: EventCounts,
     clock_period: Option<u64>,
+    /// Cycle count of the next clock-profiling tick; `u64::MAX` while
+    /// clock profiling is off, so the per-instruction test never fires.
     next_clock: u64,
     output: String,
     last_fetch_line: u64,
@@ -272,10 +280,12 @@ impl Machine {
             icache,
             tlb,
             counters: [None, None],
+            watch: [0; CounterEvent::ALL.len()],
+            pending: 0,
             rng,
             counts: EventCounts::default(),
             clock_period: None,
-            next_clock: 0,
+            next_clock: u64::MAX,
             output: String::new(),
             last_fetch_line: u64::MAX,
             annul_next: false,
@@ -307,6 +317,14 @@ impl Machine {
         if !event.allowed_slots().contains(&slot) {
             return Err(PicConstraintError { event, slot });
         }
+        // A re-programmed slot stops counting its old event and loses
+        // any trap still in flight for it.
+        let bit = 1 << slot;
+        for mask in &mut self.watch {
+            *mask &= !bit;
+        }
+        self.watch[event as usize] |= bit;
+        self.pending &= !bit;
         self.counters[slot] = Some(HwCounter::new(event, interval));
         Ok(())
     }
@@ -315,7 +333,7 @@ impl Machine {
     /// real tool's `-p on` is ~10 ms; at 900 MHz that is 9e6 cycles).
     pub fn set_clock_sample_period(&mut self, period_cycles: Option<u64>) {
         self.clock_period = period_cycles;
-        self.next_clock = self.counts.cycles + period_cycles.unwrap_or(0);
+        self.next_clock = period_cycles.map_or(u64::MAX, |p| self.counts.cycles + p);
     }
 
     /// Direct access to simulated data memory (for the host to stage
@@ -355,7 +373,8 @@ impl Machine {
         &self.text
     }
 
-    #[inline]
+    /// Feed `n` occurrences of `event` to the counters watching it.
+    #[inline(always)]
     fn count_event(
         &mut self,
         event: CounterEvent,
@@ -363,23 +382,105 @@ impl Machine {
         trigger_pc: u64,
         trigger_ea: Option<u64>,
     ) {
-        for slot in 0..NUM_COUNTER_SLOTS {
+        let mut mask = self.watch[event as usize];
+        while mask != 0 {
+            let slot = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
             if let Some(c) = &mut self.counters[slot] {
-                if c.event == event && c.add(n) {
-                    let (lo, hi) = self.config.skid.range(event);
-                    let skid = if lo == hi {
-                        lo
-                    } else {
-                        self.rng.random_range(lo..=hi)
-                    };
-                    c.pending = Some(PendingTrap {
-                        trigger_pc,
-                        trigger_ea,
-                        remaining: skid,
-                        skid,
-                    });
+                if c.add(n) {
+                    self.schedule_trap(slot, event, trigger_pc, trigger_ea);
                 }
             }
+        }
+    }
+
+    /// A counter overflowed with no trap pending: draw its skid and
+    /// start the countdown to delivery.
+    #[inline(never)]
+    fn schedule_trap(
+        &mut self,
+        slot: CounterSlot,
+        event: CounterEvent,
+        trigger_pc: u64,
+        trigger_ea: Option<u64>,
+    ) {
+        let (lo, hi) = self.config.skid.range(event);
+        let skid = if lo == hi {
+            lo
+        } else {
+            self.rng.random_range(lo..=hi)
+        };
+        if let Some(c) = &mut self.counters[slot] {
+            c.pending = Some(PendingTrap {
+                trigger_pc,
+                trigger_ea,
+                remaining: skid,
+                skid,
+            });
+            self.pending |= 1 << slot;
+        }
+    }
+
+    /// Count one retired instruction against every pending trap and
+    /// deliver those whose skid has elapsed. The delivered PC is the
+    /// next instruction to issue — which, after retirement, is exactly
+    /// `self.cpu.pc`.
+    #[inline(never)]
+    fn deliver_pending<H: ProfileHook>(&mut self, hook: &mut H) {
+        for slot in 0..NUM_COUNTER_SLOTS {
+            if self.pending & (1 << slot) == 0 {
+                continue;
+            }
+            let Some(c) = &mut self.counters[slot] else {
+                continue;
+            };
+            let Some(p) = &mut c.pending else {
+                continue;
+            };
+            p.remaining -= 1;
+            if p.remaining > 0 {
+                continue;
+            }
+            let p = *p;
+            c.pending = None;
+            self.pending &= !(1 << slot);
+            let trap = OverflowTrap {
+                slot,
+                event: c.event,
+                delivered_pc: self.cpu.pc,
+                trigger_pc: p.trigger_pc,
+                trigger_ea: p.trigger_ea,
+                skid: p.skid,
+            };
+            hook.on_overflow(&self.cpu, &trap);
+        }
+    }
+
+    /// Deliver every clock-profiling tick that has come due. The
+    /// sample PC is the next instruction to issue, so time stalled in a
+    /// load is charged to its successor — the User CPU skid visible in
+    /// the paper's Fig. 4. One tick per elapsed period: an instruction
+    /// that stalls across several periods receives several samples,
+    /// keeping samples x period an unbiased estimate of time.
+    #[inline(never)]
+    fn clock_ticks<H: ProfileHook>(&mut self, hook: &mut H) {
+        let Some(period) = self.clock_period else {
+            return;
+        };
+        while self.next_clock <= self.counts.cycles {
+            self.next_clock += period;
+            hook.on_clock_sample(&self.cpu, self.cpu.pc);
+        }
+    }
+
+    /// The simulated page size backing data address `ea`: the heap's
+    /// configured size inside the heap, the system default elsewhere.
+    #[inline(always)]
+    fn page_bytes(&self, ea: u64) -> u64 {
+        if SegmentKind::of_addr(ea) == SegmentKind::Heap {
+            self.config.heap_page_bytes
+        } else {
+            DEFAULT_PAGE_BYTES
         }
     }
 
@@ -390,12 +491,7 @@ impl Machine {
         let mut stall = 0;
 
         // DTLB.
-        let page_bytes = if SegmentKind::of_addr(ea) == SegmentKind::Heap {
-            self.config.heap_page_bytes
-        } else {
-            DEFAULT_PAGE_BYTES
-        };
-        if !self.tlb.access(ea, page_bytes) {
+        if !self.tlb.access(ea, self.page_bytes(ea)) {
             self.counts.dtlb_miss += 1;
             stall += self.config.tlb_miss_penalty;
             self.count_event(CounterEvent::DTLBMiss, 1, pc, Some(ea));
@@ -606,12 +702,7 @@ impl Machine {
                 // the prefetch instructions themselves.
                 let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
                 if ea < crate::TEXT_BASE {
-                    let page_bytes = if SegmentKind::of_addr(ea) == SegmentKind::Heap {
-                        self.config.heap_page_bytes
-                    } else {
-                        DEFAULT_PAGE_BYTES
-                    };
-                    if !self.tlb.access(ea, page_bytes) {
+                    if !self.tlb.access(ea, self.page_bytes(ea)) {
                         self.counts.dtlb_miss += 1;
                         self.count_event(CounterEvent::DTLBMiss, 1, pc, Some(ea));
                     }
@@ -648,50 +739,11 @@ impl Machine {
         self.count_event(CounterEvent::Cycles, cycles, pc, None);
         self.count_event(CounterEvent::Insts, 1, pc, None);
 
-        // Deliver pending overflow traps whose skid has elapsed. The
-        // delivered PC is the next instruction to issue — which, after
-        // the retire above, is exactly `self.cpu.pc`.
-        for slot in 0..NUM_COUNTER_SLOTS {
-            let deliver = match &mut self.counters[slot] {
-                Some(c) => match &mut c.pending {
-                    Some(p) => {
-                        p.remaining -= 1;
-                        if p.remaining == 0 {
-                            let t = *p;
-                            c.pending = None;
-                            Some((c.event, t))
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                },
-                None => None,
-            };
-            if let Some((event, p)) = deliver {
-                let trap = OverflowTrap {
-                    slot,
-                    event,
-                    delivered_pc: self.cpu.pc,
-                    trigger_pc: p.trigger_pc,
-                    trigger_ea: p.trigger_ea,
-                    skid: p.skid,
-                };
-                hook.on_overflow(&self.cpu, &trap);
-            }
+        if self.pending != 0 {
+            self.deliver_pending(hook);
         }
-
-        // Clock-profiling tick. The sample PC is the next instruction
-        // to issue, so time stalled in a load is charged to its
-        // successor — the User CPU skid visible in the paper's Fig. 4.
-        if let Some(period) = self.clock_period {
-            // One tick per elapsed period: an instruction that stalls
-            // across several periods receives several samples, keeping
-            // samples x period an unbiased estimate of time.
-            while self.next_clock <= self.counts.cycles {
-                self.next_clock += period;
-                hook.on_clock_sample(&self.cpu, self.cpu.pc);
-            }
+        if self.next_clock <= self.counts.cycles {
+            self.clock_ticks(hook);
         }
 
         Ok(self.halted.is_none())
@@ -714,6 +766,7 @@ impl Machine {
         // The program has halted, so a trap still counting down its
         // skid will never be delivered; account it as dropped to keep
         // delivered + dropped an exact overflow count.
+        self.pending = 0;
         let dropped = std::array::from_fn(|s| {
             self.counters[s].as_mut().map_or(0, |c| {
                 if c.pending.take().is_some() {

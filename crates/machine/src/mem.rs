@@ -32,9 +32,7 @@ impl Default for Memory {
 impl Memory {
     pub fn new() -> Memory {
         Memory {
-            pages: (0..(MEM_LIMIT as usize >> PAGE_SHIFT))
-                .map(|_| None)
-                .collect(),
+            pages: vec![None; MEM_LIMIT as usize >> PAGE_SHIFT],
             resident_bytes: 0,
         }
     }
@@ -70,9 +68,15 @@ impl Memory {
             Some(p) => p,
             None => return Some(0),
         };
-        let mut buf = [0u8; 8];
-        buf[..len as usize].copy_from_slice(&page[off..off + len as usize]);
-        Some(u64::from_le_bytes(buf))
+        // One fixed-width load per width: a variable-length copy would
+        // compile to a `memcpy` call on every simulated load.
+        let b = &page[off..];
+        Some(match len {
+            1 => b[0] as u64,
+            2 => u16::from_le_bytes([b[0], b[1]]) as u64,
+            4 => u32::from_le_bytes(b[..4].try_into().unwrap()) as u64,
+            _ => u64::from_le_bytes(b[..8].try_into().unwrap()),
+        })
     }
 
     /// Write the low `len` bytes of `value`; returns `false` for
@@ -88,7 +92,13 @@ impl Memory {
         let Some(page) = self.page_mut(addr) else {
             return false;
         };
-        page[off..off + len as usize].copy_from_slice(&value.to_le_bytes()[..len as usize]);
+        let b = &mut page[off..];
+        match len {
+            1 => b[0] = value as u8,
+            2 => b[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => b[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+            _ => b[..8].copy_from_slice(&value.to_le_bytes()),
+        }
         true
     }
 

@@ -10,6 +10,8 @@
 //! Entries are tagged with `(virtual page, page size class)` so mixed
 //! sizes coexist, approximating the real hardware's separate arrays.
 
+use crate::cache::mru_insert;
+
 /// The Solaris default page size on the paper's machine.
 pub const DEFAULT_PAGE_BYTES: u64 = 8 * 1024;
 
@@ -67,8 +69,9 @@ const INVALID: TlbTag = TlbTag {
 pub struct Tlb {
     set_mask: u64,
     ways: usize,
+    /// One set per `ways` entries, each in recency order (front = MRU),
+    /// exactly as in [`crate::SetAssocCache`].
     tags: Vec<TlbTag>,
-    ages: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -82,7 +85,6 @@ impl Tlb {
             set_mask: sets - 1,
             ways: config.ways as usize,
             tags: vec![INVALID; config.entries as usize],
-            ages: vec![0; config.entries as usize],
             hits: 0,
             misses: 0,
         }
@@ -99,33 +101,23 @@ impl Tlb {
         let set = (vpn & self.set_mask) as usize;
         let base = set * self.ways;
         let tags = &mut self.tags[base..base + self.ways];
-        let ages = &mut self.ages[base..base + self.ways];
 
-        for w in 0..tags.len() {
-            if tags[w] == tag {
-                let age = ages[w];
-                for a in ages.iter_mut() {
-                    if *a < age {
-                        *a += 1;
-                    }
-                }
-                ages[w] = 0;
+        if tags[0] == tag {
+            self.hits += 1;
+            return true;
+        }
+        let (end, hit) = match tags.iter().position(|&t| t == tag) {
+            Some(w) => {
                 self.hits += 1;
-                return true;
+                (w, true)
             }
-        }
-
-        let victim = match tags.iter().position(|&t| t == INVALID) {
-            Some(w) => w,
-            None => (0..tags.len()).max_by_key(|&w| ages[w]).unwrap(),
+            None => {
+                self.misses += 1;
+                (tags.len() - 1, false)
+            }
         };
-        for a in ages.iter_mut() {
-            *a = a.saturating_add(1);
-        }
-        tags[victim] = tag;
-        ages[victim] = 0;
-        self.misses += 1;
-        false
+        mru_insert(&mut tags[..=end], tag);
+        hit
     }
 
     /// (hits, misses) since construction.

@@ -1,6 +1,6 @@
 //! Property tests for the machine substrate: the set-associative
-//! cache against a naive reference model, TLB reach invariants, and
-//! sparse-memory read/write laws.
+//! cache and the DTLB against naive reference models, TLB reach
+//! invariants, and sparse-memory read/write laws.
 
 use proptest::prelude::*;
 use simsparc_machine::{CacheConfig, CacheOutcome, Memory, SetAssocCache, Tlb, TlbConfig};
@@ -37,6 +37,46 @@ impl RefCache {
             v.insert(0, line);
             v.truncate(self.ways);
             CacheOutcome::Miss
+        }
+    }
+}
+
+/// The DTLB's reference model: per set, a vector of `(vpn,
+/// page_shift)` tags in LRU order (front = MRU), as in [`RefCache`].
+struct RefTlb {
+    sets: u64,
+    ways: usize,
+    lru: Vec<Vec<(u64, u32)>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefTlb {
+    fn new(config: TlbConfig) -> RefTlb {
+        let sets = (config.entries / config.ways) as u64;
+        RefTlb {
+            sets,
+            ways: config.ways as usize,
+            lru: vec![Vec::new(); sets as usize],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64, page_bytes: u64) -> bool {
+        let shift = page_bytes.trailing_zeros();
+        let tag = (addr >> shift, shift);
+        let v = &mut self.lru[(tag.0 % self.sets) as usize];
+        if let Some(pos) = v.iter().position(|&t| t == tag) {
+            v.remove(pos);
+            v.insert(0, tag);
+            self.hits += 1;
+            true
+        } else {
+            v.insert(0, tag);
+            v.truncate(self.ways);
+            self.misses += 1;
+            false
         }
     }
 }
@@ -126,6 +166,27 @@ proptest! {
         for &o in &offs {
             prop_assert!(t.access(lpage + o * 63, 512 * 1024), "same 512K page must hit");
         }
+    }
+
+    /// The production DTLB and the reference model agree on every
+    /// access of a random trace mixing 8 KB and 512 KB pages, for
+    /// several geometries, and so do their hit/miss totals.
+    #[test]
+    fn tlb_matches_reference_model(
+        ways in 1u32..=4,
+        sets_log in 0u32..=3,
+        trace in prop::collection::vec((0u64..(1 << 21), any::<bool>()), 1..500),
+    ) {
+        let config = TlbConfig { entries: ways << sets_log, ways };
+        let mut real = Tlb::new(config);
+        let mut reference = RefTlb::new(config);
+        for (i, &(addr, large)) in trace.iter().enumerate() {
+            let page_bytes = if large { 512 * 1024 } else { 8 * 1024 };
+            let a = real.access(addr, page_bytes);
+            let b = reference.access(addr, page_bytes);
+            prop_assert_eq!(a, b, "divergence at access {} (addr {:#x}, page {})", i, addr, page_bytes);
+        }
+        prop_assert_eq!(real.stats(), (reference.hits, reference.misses));
     }
 
     /// Memory: the last write wins, all widths, and disjoint writes do

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Regenerate machine-readable benchmark results, compare them against
 # the checked-in BENCH_*.json baselines with bench_gate, and append
-# each run's records to the accumulated perf trajectory.
+# each run's records to the accumulated perf trajectory. The gated
+# benches cover store, view and merge aggregation and the simulator
+# (cache, DTLB and 1M-instruction interpreter loops).
 #
 #   scripts/bench-trajectory.sh [--threshold X]
 #
@@ -20,7 +22,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES="store_aggregation view_aggregation merged_store_aggregation"
+BENCHES="store_aggregation view_aggregation merged_store_aggregation machine_micro"
 TRAJECTORY="bench-trajectory.jsonl"
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
