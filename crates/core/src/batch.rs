@@ -1080,23 +1080,29 @@ where
 /// every worker has at least this many rows to chew on.
 pub const MIN_ROWS_PER_SHARD: usize = 8192;
 
-/// Resolve a requested shard count against the machine and the
-/// workload: `0` means "auto", any request is capped by
-/// [`std::thread::available_parallelism`] (threads beyond the core
-/// count only add spawn and scheduling overhead), and the result is
-/// clamped so every worker gets at least [`MIN_ROWS_PER_SHARD`] rows.
-/// On a single-core host this resolves every request to 1 — the
-/// sharded fold's output is identical anyway, so only wall clock
-/// changes.
-pub fn effective_shards(requested: usize, rows: usize) -> usize {
+/// Resolve a requested worker count against the machine: `0` means
+/// "auto", i.e. [`std::thread::available_parallelism`], and any other
+/// request is capped by it (threads beyond the core count only add
+/// spawn and scheduling overhead). Never below 1.
+pub fn capped_workers(requested: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
-    let capped = match requested {
+    match requested {
         0 => hw,
         n => n.min(hw),
-    };
-    capped.min(rows / MIN_ROWS_PER_SHARD).max(1)
+    }
+}
+
+/// Resolve a requested shard count against the machine and the
+/// workload: [`capped_workers`], clamped so every worker gets at
+/// least [`MIN_ROWS_PER_SHARD`] rows. On a single-core host this
+/// resolves every request to 1 — the sharded fold's output is
+/// identical anyway, so only wall clock changes.
+pub fn effective_shards(requested: usize, rows: usize) -> usize {
+    capped_workers(requested)
+        .min(rows / MIN_ROWS_PER_SHARD)
+        .max(1)
 }
 
 /// The group-by kernel behind every analyzer view and store

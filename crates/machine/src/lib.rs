@@ -46,7 +46,7 @@ pub use cpu::{
     CpuState, EventCounts, Machine, MachineError, NullHook, OverflowTrap, ProfileHook, RunOutcome,
 };
 pub use image::{Image, Segment, SegmentKind};
-pub use mem::Memory;
+pub use mem::{Memory, HOST_PAGE_BYTES, MEM_LIMIT};
 pub use tlb::{page_size_supported, Tlb, TlbConfig, DEFAULT_PAGE_BYTES, SUPPORTED_PAGE_BYTES};
 
 /// Base virtual address of the text segment. Chosen at 2^32 so that

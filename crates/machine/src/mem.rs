@@ -1,24 +1,29 @@
 //! Sparse byte-addressable data memory.
 //!
 //! The data address space (everything below [`crate::TEXT_BASE`]) is
-//! backed by lazily-allocated 8 KB host pages indexed through a flat
+//! backed by lazily-allocated 64 KB host pages indexed through a flat
 //! page table, so multi-hundred-megabyte simulated heaps cost only
-//! what the program actually touches. Accesses must be naturally
+//! what the program actually touches. The table itself is a fixed
+//! cost of every `Memory`: 32,768 slots (256 KB) over
+//! `[0, MEM_LIMIT)`, small enough that a driver can keep one
+//! simulated machine per core alive. Accesses must be naturally
 //! aligned — the mini-C compiler only emits aligned accesses, and an
 //! unaligned access in the simulator indicates a codegen bug, so it is
 //! reported as a hard error rather than silently fixed up.
 
-/// Host backing-page size (this is unrelated to the *simulated* TLB
-/// page size, which is configurable per segment).
-const PAGE_SHIFT: u32 = 13;
-const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+/// Host backing-page size, 64 KB (this is unrelated to the
+/// *simulated* TLB page size, which is configurable per segment, so
+/// no simulated count depends on it).
+const PAGE_SHIFT: u32 = 16;
+/// Bytes per host backing page.
+pub const HOST_PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 
 /// Highest mappable data address (exclusive).
 pub const MEM_LIMIT: u64 = 0x8000_0000;
 
 /// Sparse simulated data memory covering `[0, MEM_LIMIT)`.
 pub struct Memory {
-    pages: Vec<Option<Box<[u8; PAGE_BYTES]>>>,
+    pages: Vec<Option<Box<[u8; HOST_PAGE_BYTES]>>>,
     /// Bytes of backing store actually allocated (for reporting).
     resident_bytes: usize,
 }
@@ -43,12 +48,12 @@ impl Memory {
     }
 
     #[inline]
-    fn page_mut(&mut self, addr: u64) -> Option<&mut [u8; PAGE_BYTES]> {
+    fn page_mut(&mut self, addr: u64) -> Option<&mut [u8; HOST_PAGE_BYTES]> {
         let idx = (addr >> PAGE_SHIFT) as usize;
         let slot = self.pages.get_mut(idx)?;
         if slot.is_none() {
-            *slot = Some(Box::new([0u8; PAGE_BYTES]));
-            self.resident_bytes += PAGE_BYTES;
+            *slot = Some(Box::new([0u8; HOST_PAGE_BYTES]));
+            self.resident_bytes += HOST_PAGE_BYTES;
         }
         slot.as_deref_mut()
     }
@@ -63,7 +68,7 @@ impl Memory {
             return None;
         }
         let idx = (addr >> PAGE_SHIFT) as usize;
-        let off = (addr as usize) & (PAGE_BYTES - 1);
+        let off = (addr as usize) & (HOST_PAGE_BYTES - 1);
         let page = match self.pages.get(idx)? {
             Some(p) => p,
             None => return Some(0),
@@ -88,7 +93,7 @@ impl Memory {
             Some(end) if end <= MEM_LIMIT && addr.is_multiple_of(len) => {}
             _ => return false,
         }
-        let off = (addr as usize) & (PAGE_BYTES - 1);
+        let off = (addr as usize) & (HOST_PAGE_BYTES - 1);
         let Some(page) = self.page_mut(addr) else {
             return false;
         };
@@ -113,8 +118,8 @@ impl Memory {
         let mut cur = addr;
         let mut rest = bytes;
         while !rest.is_empty() {
-            let off = (cur as usize) & (PAGE_BYTES - 1);
-            let n = (PAGE_BYTES - off).min(rest.len());
+            let off = (cur as usize) & (HOST_PAGE_BYTES - 1);
+            let n = (HOST_PAGE_BYTES - off).min(rest.len());
             let Some(page) = self.page_mut(cur) else {
                 return false;
             };
@@ -134,8 +139,8 @@ impl Memory {
         let mut cur = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let off = (cur as usize) & (PAGE_BYTES - 1);
-            let n = (PAGE_BYTES - off).min(remaining);
+            let off = (cur as usize) & (HOST_PAGE_BYTES - 1);
+            let n = (HOST_PAGE_BYTES - off).min(remaining);
             match &self.pages[(cur >> PAGE_SHIFT) as usize] {
                 Some(p) => out.extend_from_slice(&p[off..off + n]),
                 None => out.extend(std::iter::repeat_n(0u8, n)),
@@ -215,8 +220,8 @@ mod tests {
     #[test]
     fn bulk_write_crosses_pages() {
         let mut m = Memory::new();
-        let data: Vec<u8> = (0..=255u8).cycle().take(3 * PAGE_BYTES / 2).collect();
-        let base = 0x4000_0000 + (PAGE_BYTES as u64) / 2;
+        let data: Vec<u8> = (0..=255u8).cycle().take(3 * HOST_PAGE_BYTES / 2).collect();
+        let base = 0x4000_0000 + (HOST_PAGE_BYTES as u64) / 2;
         assert!(m.write_bytes(base, &data));
         assert_eq!(m.read_bytes(base, data.len()).unwrap(), data);
     }
@@ -227,8 +232,8 @@ mod tests {
         assert_eq!(m.resident_bytes(), 0);
         m.write(0x4000_0000, 8, 1);
         m.write(0x4000_0008, 8, 2);
-        assert_eq!(m.resident_bytes(), PAGE_BYTES);
+        assert_eq!(m.resident_bytes(), HOST_PAGE_BYTES);
         m.write(0x5000_0000, 8, 3);
-        assert_eq!(m.resident_bytes(), 2 * PAGE_BYTES);
+        assert_eq!(m.resident_bytes(), 2 * HOST_PAGE_BYTES);
     }
 }

@@ -2,8 +2,27 @@
 //! cache and the DTLB against naive reference models, TLB reach
 //! invariants, and sparse-memory read/write laws.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
-use simsparc_machine::{CacheConfig, CacheOutcome, Memory, SetAssocCache, Tlb, TlbConfig};
+use simsparc_machine::{
+    CacheConfig, CacheOutcome, Memory, SetAssocCache, Tlb, TlbConfig, DATA_BASE, HEAP_BASE,
+    HOST_PAGE_BYTES, MEM_LIMIT, STACK_TOP,
+};
+
+const HP: u64 = HOST_PAGE_BYTES as u64;
+
+/// Windows of four host pages the memory property writes into: the
+/// data, heap and stack segments, and one that runs two pages past
+/// [`MEM_LIMIT`].
+const REGIONS: [u64; 4] = [DATA_BASE, HEAP_BASE, STACK_TOP - 3 * HP, MEM_LIMIT - 2 * HP];
+
+/// The bytes a bulk write of `len` bytes seeded by `val` stores.
+fn bulk_bytes(val: u64, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (val >> (8 * (i % 8))) as u8 ^ i as u8)
+        .collect()
+}
 
 /// A straightforward reference model: per set, a vector of lines in
 /// LRU order (front = MRU).
@@ -207,5 +226,71 @@ proptest! {
         for (&addr, &b) in &model {
             prop_assert_eq!(mem.read(addr, 1), Some(b as u64));
         }
+    }
+
+    /// Memory against a byte-map model across host-page boundaries:
+    /// aligned writes of every width and unaligned bulk writes (some
+    /// longer than a host page) land next to page boundaries in the
+    /// data, heap and stack segments and at the `MEM_LIMIT` edge.
+    /// Every write that would end past `MEM_LIMIT` fails and writes
+    /// nothing; reads read back the model (zero where unwritten) or
+    /// `None` past the limit; residency is one whole host page per
+    /// page a successful write touched.
+    #[test]
+    fn memory_matches_byte_map_across_host_pages(
+        ops in prop::collection::vec(
+            (0usize..4, 0u64..4, -48i64..48, 0usize..6, 1usize..200, any::<u64>()),
+            1..40,
+        ),
+    ) {
+        let mut mem = Memory::new();
+        let mut model: HashMap<u64, u8> = HashMap::new();
+        let mut pages: HashSet<u64> = HashSet::new();
+        let mut spans = Vec::new();
+        for &(region, page, near, kind, len, val) in &ops {
+            let mut addr = (REGIONS[region] + page * HP).wrapping_add_signed(near);
+            let bytes = match kind {
+                0..=3 => {
+                    let width = 1u64 << kind;
+                    addr &= !(width - 1);
+                    val.to_le_bytes()[..width as usize].to_vec()
+                }
+                4 => bulk_bytes(val, len),
+                _ => bulk_bytes(val, HOST_PAGE_BYTES + len),
+            };
+            let end = addr + bytes.len() as u64;
+            let fits = end <= MEM_LIMIT;
+            let wrote = if kind <= 3 {
+                mem.write(addr, bytes.len() as u64, val)
+            } else {
+                mem.write_bytes(addr, &bytes)
+            };
+            prop_assert_eq!(wrote, fits, "write of {} bytes at {:#x}", bytes.len(), addr);
+            if fits {
+                for (i, &b) in bytes.iter().enumerate() {
+                    model.insert(addr + i as u64, b);
+                }
+                pages.extend(addr / HP..=(end - 1) / HP);
+            }
+            spans.push((addr, bytes.len() as u64));
+        }
+        let byte = |a: u64| model.get(&a).copied().unwrap_or(0);
+        for &(addr, len) in &spans {
+            // The written span and a few bytes either side, in bulk...
+            let (lo, hi) = (addr - 8, addr + len + 8);
+            let want: Option<Vec<u8>> = (hi <= MEM_LIMIT).then(|| (lo..hi).map(byte).collect());
+            prop_assert_eq!(mem.read_bytes(lo, (hi - lo) as usize), want);
+            // ...and as aligned words of every width at its start.
+            for width in [1u64, 2, 4, 8] {
+                let a = addr & !(width - 1);
+                let want = (a + width <= MEM_LIMIT).then(|| {
+                    (0..width).rev().fold(0u64, |v, i| v << 8 | byte(a + i) as u64)
+                });
+                prop_assert_eq!(mem.read(a, width), want, "read {} at {:#x}", width, a);
+            }
+        }
+        prop_assert_eq!(mem.read(MEM_LIMIT, 1), None);
+        prop_assert_eq!(mem.read_bytes(MEM_LIMIT - 1, 2), None);
+        prop_assert_eq!(mem.resident_bytes(), pages.len() * HOST_PAGE_BYTES);
     }
 }

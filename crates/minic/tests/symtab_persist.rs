@@ -89,3 +89,22 @@ fn symbol_table_round_trips() {
     assert_eq!(loaded.global_addr("counter"), t.global_addr("counter"));
     assert_eq!(loaded.global_addr("table"), t.global_addr("table"));
 }
+
+#[test]
+fn parse_reads_what_load_reads() {
+    let program = compile_and_link(&[("persist.c", SRC)], CompileOptions::profiling()).unwrap();
+    let path = std::env::temp_dir().join(format!("syms_parse_{}.txt", std::process::id()));
+    program.syms.save(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let loaded = SymbolTable::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let parsed = SymbolTable::parse(&text).unwrap();
+    assert_eq!(format!("{parsed:?}"), format!("{loaded:?}"));
+
+    let invalid = |text: &str| SymbolTable::parse(text).unwrap_err().kind();
+    assert_eq!(invalid(""), std::io::ErrorKind::InvalidData);
+    assert_eq!(
+        invalid("simsparc-syms text_base=0x100000000\nBOGUS 1"),
+        std::io::ErrorKind::InvalidData
+    );
+}

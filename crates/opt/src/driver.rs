@@ -1,6 +1,12 @@
 //! The iterate-to-fixed-point driver: profile → verify-gate → decide
 //! → measure-each → fold accepted decisions → repeat.
 //!
+//! Independent simulations run concurrently, one per core: a round's
+//! profiling collections, and its candidate measurements in batches.
+//! Only the simulations leave the caller's thread; every
+//! [`Workload`] call and every decision stays on it, in a fixed
+//! order, so the report is the same at any core count.
+//!
 //! Two invariants the driver enforces that the paper's authors
 //! enforced by hand:
 //!
@@ -14,6 +20,7 @@
 //!   against the min-cost-flow oracle).
 
 use memprof_core::analyze::Analysis;
+use memprof_core::batch::capped_workers;
 use memprof_core::verify::{verify_experiment, Verdict};
 use memprof_core::{collect, parse_counter_spec, CollectConfig, Experiment};
 use minic::{CompileOptions, Feedback, Program};
@@ -24,6 +31,14 @@ use crate::decide::{decide, DecideConfig, Decision};
 /// A workload the driver can optimize: anything that can be compiled
 /// by `minic` under a feedback file, staged onto the machine, and
 /// semantically validated after a run.
+///
+/// The driver calls every method from the caller's thread only, and
+/// never while one of its simulations is running: it compiles and
+/// stages a batch of runs, simulates the batch on worker threads,
+/// joins them, and only then validates. Compiles, stages and
+/// validations each keep the order of a one-at-a-time loop, so an
+/// implementation needs no `Send` or `Sync` and may keep plain
+/// interior-mutable state.
 pub trait Workload {
     fn name(&self) -> &str;
     /// Compile under the given options and feedback state.
@@ -263,33 +278,102 @@ impl std::fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
-/// Compile + run the workload unprofiled under a feedback state.
-fn measure(w: &dyn Workload, cfg: &OptConfig, feedback: &Feedback) -> Result<Measurement, String> {
+/// Run `n` independent jobs, `width` at a time. For each batch,
+/// `stage(i)` prepares job `i` on the caller's thread, in input order;
+/// the batch's `run` calls then execute concurrently on scoped worker
+/// threads (the caller's thread takes the batch's last job); after
+/// they have all joined, `finish(i, result)` consumes each result on
+/// the caller's thread, again in input order. Nothing of the caller's
+/// runs while a batch is in flight, and the output is in input order
+/// whatever the width.
+fn in_batches<S: Send, R: Send, T>(
+    n: usize,
+    width: usize,
+    mut stage: impl FnMut(usize) -> S,
+    run: impl Fn(S) -> R + Sync,
+    mut finish: impl FnMut(usize, R) -> T,
+) -> Vec<T> {
+    let run = &run;
+    let width = width.max(1);
+    let mut out = Vec::with_capacity(n);
+    for start in (0..n).step_by(width) {
+        let batch: Vec<S> = (start..n.min(start + width)).map(&mut stage).collect();
+        let results = std::thread::scope(|scope| {
+            let mut batch = batch;
+            let last = batch.pop().expect("a batch holds at least one job");
+            let workers: Vec<_> = batch
+                .into_iter()
+                .map(|job| scope.spawn(move || run(job)))
+                .collect();
+            let last = run(last);
+            let mut results: Vec<R> = workers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect();
+            results.push(last);
+            results
+        });
+        for (k, r) in results.into_iter().enumerate() {
+            out.push(finish(start + k, r));
+        }
+    }
+    out
+}
+
+/// Compile + run the workload unprofiled under each feedback state,
+/// `width` simulations at a time. Each state's result sits at its own
+/// index: a compile or machine failure rejects only that state.
+fn measure_batch(
+    w: &dyn Workload,
+    cfg: &OptConfig,
+    states: &[Feedback],
+    width: usize,
+) -> Vec<Result<Measurement, String>> {
     let options = CompileOptions {
         hwcprof: false,
         dwarf: false,
         prefetch: true,
         opt: true,
     };
-    let program = w.compile(options, feedback)?;
-    let mut machine = Machine::new(cfg.machine_for(feedback));
-    machine.load(&program.image);
-    w.stage(&mut machine, &program);
-    let outcome = machine
-        .run(cfg.max_insns, &mut NullHook)
-        .map_err(|e| format!("machine error: {e}"))?;
-    if outcome.exit_code != 0 {
-        return Err(format!("exit code {}", outcome.exit_code));
-    }
-    w.validate(&outcome)?;
-    Ok(Measurement {
-        counts: outcome.counts,
-        output: outcome.output,
-    })
+    in_batches(
+        states.len(),
+        width,
+        |i| {
+            let program = w.compile(options, &states[i])?;
+            let mut machine = Machine::new(cfg.machine_for(&states[i]));
+            machine.load(&program.image);
+            w.stage(&mut machine, &program);
+            Ok(machine)
+        },
+        |staged: Result<Machine, String>| {
+            staged?
+                .run(cfg.max_insns, &mut NullHook)
+                .map_err(|e| format!("machine error: {e}"))
+        },
+        |_, outcome| {
+            let outcome = outcome?;
+            if outcome.exit_code != 0 {
+                return Err(format!("exit code {}", outcome.exit_code));
+            }
+            w.validate(&outcome)?;
+            Ok(Measurement {
+                counts: outcome.counts,
+                output: outcome.output,
+            })
+        },
+    )
 }
 
-/// Profile the workload under every configured counter spec. Returns
-/// the profiled program, the experiments, and the heap footprint.
+/// Compile + run the workload unprofiled under one feedback state.
+fn measure(w: &dyn Workload, cfg: &OptConfig, feedback: &Feedback) -> Result<Measurement, String> {
+    measure_batch(w, cfg, std::slice::from_ref(feedback), 1)
+        .pop()
+        .expect("one state, one result")
+}
+
+/// Profile the workload under every configured counter spec, the
+/// collections running concurrently. Returns the profiled program,
+/// the experiments, and the heap footprint.
 fn profile(
     w: &dyn Workload,
     cfg: &OptConfig,
@@ -302,29 +386,44 @@ fn profile(
         opt: true,
     };
     let program = w.compile(options, feedback)?;
+    let heap_ptr = program.global_addr("__heap_ptr");
+    let collected = in_batches(
+        cfg.counter_specs.len(),
+        capped_workers(0),
+        |i| {
+            let (spec, clock) = &cfg.counter_specs[i];
+            let counters =
+                parse_counter_spec(spec).map_err(|e| format!("bad counter spec: {e}"))?;
+            let mut machine = Machine::new(cfg.machine_for(feedback));
+            machine.load(&program.image);
+            w.stage(&mut machine, &program);
+            let config = CollectConfig {
+                counters,
+                clock_profiling: *clock,
+                clock_period_cycles: cfg.clock_period_cycles,
+                max_insns: cfg.max_insns,
+            };
+            Ok((machine, config))
+        },
+        |staged: Result<(Machine, CollectConfig), String>| {
+            let (mut machine, config) = staged?;
+            let exp = collect(&mut machine, &config).map_err(|e| format!("collect failed: {e}"))?;
+            if exp.run.exit_code != 0 {
+                return Err(format!("profiled run exited {}", exp.run.exit_code));
+            }
+            // Heap footprint: the runtime allocator's bump pointer.
+            let heap_bytes = heap_ptr
+                .and_then(|addr| machine.mem().read_u64(addr))
+                .map_or(0, |p| p.saturating_sub(HEAP_BASE));
+            Ok((exp, heap_bytes))
+        },
+        |_, r| r,
+    );
     let mut exps = Vec::new();
     let mut heap_bytes = 0u64;
-    for (spec, clock) in &cfg.counter_specs {
-        let counters = parse_counter_spec(spec).map_err(|e| format!("bad counter spec: {e}"))?;
-        let mut machine = Machine::new(cfg.machine_for(feedback));
-        machine.load(&program.image);
-        w.stage(&mut machine, &program);
-        let config = CollectConfig {
-            counters,
-            clock_profiling: *clock,
-            clock_period_cycles: cfg.clock_period_cycles,
-            max_insns: cfg.max_insns,
-        };
-        let exp = collect(&mut machine, &config).map_err(|e| format!("collect failed: {e}"))?;
-        if exp.run.exit_code != 0 {
-            return Err(format!("profiled run exited {}", exp.run.exit_code));
-        }
-        // Heap footprint: the runtime allocator's bump pointer.
-        if let Some(addr) = program.global_addr("__heap_ptr") {
-            if let Some(p) = machine.mem().read_u64(addr) {
-                heap_bytes = heap_bytes.max(p.saturating_sub(HEAP_BASE));
-            }
-        }
+    for r in collected {
+        let (exp, heap) = r?;
+        heap_bytes = heap_bytes.max(heap);
         exps.push(exp);
     }
     Ok((program, exps, heap_bytes))
@@ -405,10 +504,17 @@ pub fn optimize(w: &dyn Workload, cfg: &OptConfig) -> Result<OptReport, OptError
             gated: false,
             candidates: Vec::new(),
         };
+        let trials: Vec<Feedback> = proposals
+            .iter()
+            .map(|d| {
+                let mut trial = state.clone();
+                d.apply(&mut trial);
+                trial
+            })
+            .collect();
+        let measured = measure_batch(w, cfg, &trials, capped_workers(0));
         let mut best: Option<(usize, u64)> = None;
-        for d in proposals {
-            let mut trial = state.clone();
-            d.apply(&mut trial);
+        for (d, result) in proposals.into_iter().zip(measured) {
             let mut cand = Candidate {
                 round: index,
                 describe: d.describe(),
@@ -418,7 +524,7 @@ pub fn optimize(w: &dyn Workload, cfg: &OptConfig) -> Result<OptReport, OptError
                 accepted: false,
                 reject_reason: None,
             };
-            match measure(w, cfg, &trial) {
+            match result {
                 Ok(m) => {
                     if m.output != current.output {
                         cand.reject_reason = Some("output changed".to_string());
@@ -483,4 +589,147 @@ pub fn optimize(w: &dyn Workload, cfg: &OptConfig) -> Result<OptReport, OptError
         fixed_point,
         tlb_miss_penalty: cfg.machine.tlb_miss_penalty,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
+
+    use simsparc_machine::MachineConfig;
+
+    use super::*;
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Stage(usize),
+        Finish(usize),
+    }
+
+    /// `in_batches` over `n` jobs: the call log, the thread each job
+    /// ran on, the results, and the most jobs seen running at once.
+    /// Each job waits on a barrier as wide as its batch, so the test
+    /// hangs unless a whole batch is in flight at once.
+    fn run_jobs(n: usize, width: usize) -> (Vec<Call>, Vec<ThreadId>, Vec<usize>, usize) {
+        let barriers: Vec<Barrier> = (0..n)
+            .step_by(width)
+            .map(|start| Barrier::new(width.min(n - start)))
+            .collect();
+        let log = RefCell::new(Vec::new());
+        let (in_flight, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut ran_on = Vec::new();
+        let out = in_batches(
+            n,
+            width,
+            |i| {
+                log.borrow_mut().push(Call::Stage(i));
+                i
+            },
+            |i| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                most.fetch_max(now, Ordering::SeqCst);
+                barriers[i / width].wait();
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                (i * 10, thread::current().id())
+            },
+            |i, (r, id)| {
+                log.borrow_mut().push(Call::Finish(i));
+                ran_on.push(id);
+                r
+            },
+        );
+        (log.into_inner(), ran_on, out, most.into_inner())
+    }
+
+    #[test]
+    fn batches_keep_input_order_at_any_width() {
+        let me = thread::current().id();
+        for width in [1, 2, 8] {
+            let (log, ran_on, out, most) = run_jobs(5, width);
+            assert_eq!(out, vec![0, 10, 20, 30, 40], "width {width}");
+            assert_eq!(most, width.min(5), "width {width}");
+            // Each batch is staged in order, then finished in order,
+            // before the next batch is staged.
+            let mut want = Vec::new();
+            for start in (0..5).step_by(width) {
+                let batch = start..(start + width).min(5);
+                want.extend(batch.clone().map(Call::Stage));
+                want.extend(batch.map(Call::Finish));
+            }
+            assert_eq!(log, want, "width {width}");
+            // The last job of a batch runs on the caller's thread, the
+            // others on workers.
+            for (i, id) in ran_on.iter().enumerate() {
+                let last_of_batch = i % width == width - 1 || i == 4;
+                assert_eq!(*id == me, last_of_batch, "width {width}, job {i}");
+            }
+        }
+    }
+
+    /// A workload whose source depends on the requested heap page
+    /// size, so one batch can hold good, looping and broken programs.
+    struct ByPageSize;
+
+    impl Workload for ByPageSize {
+        fn name(&self) -> &str {
+            "by-page-size"
+        }
+
+        fn compile(&self, options: CompileOptions, feedback: &Feedback) -> Result<Program, String> {
+            let src = match feedback.heap_page_bytes {
+                None => "long main() { print_long(1); return 0; }",
+                Some(65536) => "long main() { long i = 0; while (1) { i = i + 1; } return i; }",
+                Some(524288) => "long main() { return 0 }",
+                Some(_) => "long main() { print_long(4); return 0; }",
+            };
+            minic::compile_and_link_with_feedback(&[("t.c", src)], options, feedback)
+                .map_err(|e| e.to_string())
+        }
+
+        fn stage(&self, _machine: &mut Machine, _program: &Program) {}
+
+        fn validate(&self, _outcome: &RunOutcome) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_job_is_rejected_at_its_own_index() {
+        let mut cfg = OptConfig::for_machine(MachineConfig::default());
+        cfg.max_insns = 100_000;
+        let page = |bytes| Feedback {
+            heap_page_bytes: bytes,
+            ..Feedback::default()
+        };
+        let states = [
+            page(None),
+            page(Some(65536)),
+            page(Some(4 << 20)),
+            page(Some(524288)),
+            page(None),
+        ];
+        let reference = measure_batch(&ByPageSize, &cfg, &states, 1);
+        for width in [1, 2, 8] {
+            let got = measure_batch(&ByPageSize, &cfg, &states, width);
+            assert_eq!(got.len(), states.len());
+            assert_eq!(got[0].as_ref().unwrap().output, "1\n", "width {width}");
+            let limit = got[1].as_ref().unwrap_err();
+            assert!(
+                limit.contains("instruction limit"),
+                "width {width}: {limit}"
+            );
+            assert_eq!(got[2].as_ref().unwrap().output, "4\n", "width {width}");
+            assert!(got[3].is_err(), "width {width}: broken source compiled");
+            assert_eq!(got[4].as_ref().unwrap().output, "1\n", "width {width}");
+            for (a, b) in got.iter().zip(&reference) {
+                match (a, b) {
+                    (Ok(a), Ok(b)) => assert_eq!((a.counts, &a.output), (b.counts, &b.output)),
+                    (Err(a), Err(b)) => assert_eq!(a, b),
+                    _ => panic!("width {width} disagrees with width 1"),
+                }
+            }
+        }
+    }
 }

@@ -32,8 +32,7 @@
 //! ([`crate::merge_experiments_seeded`]) instead of re-reading its
 //! packed form — the incremental-compaction fast path.
 
-use std::num::NonZeroUsize;
-
+use memprof_core::batch::capped_workers;
 use memprof_core::Experiment;
 
 use crate::{check_compatible, ExperimentRef, StoreError};
@@ -47,14 +46,7 @@ pub(crate) fn load_inputs(
     refs: &[ExperimentRef],
     shards: usize,
 ) -> Result<Vec<Experiment>, StoreError> {
-    let hw = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let shards = match shards {
-        0 => hw,
-        n => n.min(hw),
-    }
-    .min(refs.len().max(1));
+    let shards = capped_workers(shards).min(refs.len().max(1));
     if shards <= 1 {
         return refs.iter().map(ExperimentRef::load).collect();
     }

@@ -184,17 +184,8 @@ impl ExperimentRef {
             ExperimentRef::TextDir(dir) => minic::SymbolTable::load(&dir.join("syms.txt")).ok(),
             ExperimentRef::Packed(file) => {
                 let attachments = load_attachments(file).ok()?;
-                let contents = attachments
-                    .iter()
-                    .find(|(n, _)| n == "syms.txt")
-                    .map(|(_, c)| c)?;
-                // SymbolTable's loader is path-based; round-trip the
-                // attachment through a scratch file.
-                let tmp = scratch_path("syms");
-                std::fs::write(&tmp, contents).ok()?;
-                let syms = minic::SymbolTable::load(&tmp).ok();
-                std::fs::remove_file(&tmp).ok();
-                syms
+                let (_, contents) = attachments.iter().find(|(n, _)| n == "syms.txt")?;
+                minic::SymbolTable::parse(contents).ok()
             }
         }
     }
@@ -263,6 +254,7 @@ pub fn collect_attachments(refs: &[ExperimentRef]) -> Vec<(String, String)> {
     Vec::new()
 }
 
+#[cfg(test)]
 fn scratch_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -420,10 +412,7 @@ pub fn diff_experiments(
         sb.clock_period(),
         sb.clock_hz(),
     )?;
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let (agg_a, agg_b) = if hw > 1 {
+    let (agg_a, agg_b) = if memprof_core::batch::capped_workers(0) > 1 {
         // The two sides are independent; aggregate them concurrently.
         std::thread::scope(|scope| {
             let ha = scope.spawn(|| aggregate_streams(std::slice::from_ref(&sa), shards));

@@ -2,8 +2,10 @@
 # Regenerate machine-readable benchmark results, compare them against
 # the checked-in BENCH_*.json baselines with bench_gate, and append
 # each run's records to the accumulated perf trajectory. The gated
-# benches cover store, view and merge aggregation and the simulator
-# (cache, DTLB and 1M-instruction interpreter loops).
+# benches cover store, view and merge aggregation, the simulator
+# (cache, DTLB and 1M-instruction interpreter loops), and whole MCF
+# runs at test scale built plain and with -xhwcprof (compile, machine
+# set-up and simulation, so the simulated memory's fixed cost shows).
 #
 #   scripts/bench-trajectory.sh [--threshold X]
 #
@@ -22,7 +24,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES="store_aggregation view_aggregation merged_store_aggregation machine_micro"
+BENCHES="store_aggregation view_aggregation merged_store_aggregation machine_micro hwcprof_overhead"
 TRAJECTORY="bench-trajectory.jsonl"
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)

@@ -13,6 +13,18 @@
 //! inflates the page-size win beyond the paper's proportions. At 32
 //! entries the TLB:E$ reach ratio matches the publication-scale runs
 //! (E9), where the paper's ordering holds.
+//!
+//! The rendered report is also pinned byte-for-byte in
+//! `tests/golden/opt_loop_report.txt`, captured from the driver when
+//! it still ran every simulation one after another: running the
+//! independent simulations concurrently must not change a digit.
+//! Regenerate intentionally with:
+//!
+//! ```text
+//! MEMPROF_UPDATE_GOLDEN=1 cargo test --test opt_loop
+//! ```
+
+use std::path::PathBuf;
 
 use memprof::mcf::{paper_machine_config, Instance, InstanceParams};
 use memprof::opt::{optimize, Candidate, Decision, McfWorkload, OptConfig};
@@ -34,6 +46,7 @@ fn mcf_opt_loop_reproduces_sec33_ordering() {
     }));
 
     let report = optimize(&workload, &cfg).expect("optimization loop completes");
+    check_golden("opt_loop_report.txt", &report.render());
 
     // The loop converged (a round proposed or accepted nothing)
     // rather than running out of rounds.
@@ -107,4 +120,21 @@ fn mcf_opt_loop_reproduces_sec33_ordering() {
     assert!(text.contains("reorder node"), "feedback: {text}");
     assert!(text.contains("pagesize_heap"), "feedback: {text}");
     assert!(text.contains("heapalign"), "feedback: {text}");
+}
+
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("MEMPROF_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!("missing golden snapshot {name}; regenerate with MEMPROF_UPDATE_GOLDEN=1")
+    });
+    assert!(
+        expected == actual,
+        "golden mismatch for {name}\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+    );
 }
